@@ -35,11 +35,8 @@ from .mesh import (
     validate,
 )
 from .stencil import (
-    FactorVector,
-    QuotientVector,
     Stencil,
     StencilRows,
-    build_factor_vector,
     stable_quotients,
     stencil_rows,
 )
@@ -60,10 +57,7 @@ __all__ = [
     "chebyshev_gauss_lobatto",
     "legendre_gauss_lobatto",
     "Stencil",
-    "FactorVector",
-    "QuotientVector",
     "StencilRows",
-    "build_factor_vector",
     "stable_quotients",
     "stencil_rows",
     "SparseBandMatrix",

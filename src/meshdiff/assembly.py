@@ -4,8 +4,8 @@ Each mesh point gets one stencil of M contiguous points.  With M = N the
 stencil is the whole mesh (spectral collocation); with odd M < N the
 stencil slides: it is pinned at the left edge for the first points,
 centered in the interior, and pinned at the right edge for the last
-points.  All derivative orders for a row come from a single stencil
-evaluation.
+points.  All rows and orders come from one call of the batched stencil
+kernel.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from .errors import (
     EvenStencil,
     InvalidStencil,
     NonSquare,
-    OrderTooHigh,
     StencilTooWide,
 )
 from .mesh import Mesh, validate
-from .stencil import Stencil, stencil_rows
+from .stencil import _weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +80,8 @@ class SparseBandMatrix:
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
-        for i in range(self.n_rows):
-            cols, vals = self.row_entries(i)
-            out[i, cols] = vals
+        rows = np.arange(self.n_rows)[:, None]
+        out[rows, self.col_start[:, None] + np.arange(self.width)] = self.data
         return out
 
     def to_csr(self) -> sparse.csr_matrix:
@@ -141,37 +139,13 @@ def assemble(mesh, stencil_width: int, max_order: int) -> DiffMatrixSet:
         raise StencilTooWide(f"stencil width {m} exceeds mesh size {n}")
     if m < n and m % 2 == 0:
         raise EvenStencil(f"a sliding stencil must have odd width, got {m}")
-    s_max = int(max_order)
-    if s_max < 1:
-        raise ValueError(f"max_order must be at least 1, got {s_max}")
-    # stencil_rows re-checks this, but failing before the row loop keeps
-    # the message in terms of the requested assembly
-    if s_max > m - 1:
-        raise OrderTooHigh(
-            f"order {s_max} needs a stencil of {s_max + 1} points, width is {m}"
-        )
-    center = (m - 1) // 2
-    col_start = np.empty(n, dtype=int)
-    data = np.empty((s_max, n, m))
-    for i in range(n):
-        if m == n:
-            start, at = 0, i
-        elif i < center:
-            start, at = 0, i
-        elif i > n - 1 - center:
-            start, at = n - m, i - (n - m)
-        else:
-            start, at = i - center, center
-        rows = stencil_rows(Stencil(x[start:start + m], at), s_max)
-        col_start[i] = start
-        data[:, i, :] = rows.rows
+    start = np.clip(np.arange(n) - (m - 1) // 2, 0, n - m)
+    data = _weights(x, start, np.arange(n) - start, m, max_order)
     matrices = tuple(
-        SparseBandMatrix(
-            n, n, col_start, data[s], order=s + 1, stencil_width=m
-        )
-        for s in range(s_max)
+        SparseBandMatrix(n, n, start, rows, order=s + 1, stencil_width=m)
+        for s, rows in enumerate(data)
     )
-    return DiffMatrixSet(matrices, msh, m, s_max)
+    return DiffMatrixSet(matrices, msh, m, len(data))
 
 
 def apply(matrix: SparseBandMatrix, samples) -> np.ndarray:

@@ -60,7 +60,15 @@ def _resolutions(text: str):
         ) from None
     if len(vals) < 2:
         raise argparse.ArgumentTypeError("need at least two resolutions")
+    if any(b <= a for a, b in zip(vals, vals[1:])):
+        raise argparse.ArgumentTypeError(f"resolutions must increase, got {text!r}")
     return vals
+
+
+def _positive_int(text: str):
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _stencil_width(text: str):
@@ -148,7 +156,9 @@ def _build_parser() -> _Parser:
     p_asm = sub.add_parser("assemble", help="build differentiation matrices")
     p_asm.add_argument("--mesh", required=True, help="mesh file to read")
     p_asm.add_argument("--stencil", type=int, required=True, help="stencil width M")
-    p_asm.add_argument("--orders", type=int, required=True, help="highest order S")
+    p_asm.add_argument(
+        "--orders", type=_positive_int, required=True, help="highest order S"
+    )
     p_asm.add_argument(
         "--out-prefix", required=True, help="writes <prefix>_D1.mtx .. <prefix>_DS.mtx"
     )

@@ -11,6 +11,9 @@ seeded with the order-zero Kronecker row.  Here a_j is the product of
 ratios a_i/a_m are never formed as two big products: each is a product of
 factor quotients paired by sorted magnitude, which keeps intermediates
 near unity and stays accurate when spacings span many scales.
+
+One private kernel, _weights, runs this for a batch of windows at once;
+stencil_rows, stable_quotients and assembly.assemble wrap it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from .errors import InvalidStencil, OrderTooHigh
 
 # gap below this multiple of eps * max|x| means two points coincide
 _DUPLICATE_GAP = 4.0
+
+# element budget of each kernel temporary; windows, then rows, are chunked
+# so that no (rows, M, M) tensor exceeds it unless one row alone does
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +50,7 @@ class Stencil:
         gaps = np.diff(pts)
         if np.any(gaps <= 0):
             raise InvalidStencil("stencil points must be strictly increasing")
-        scale = float(np.abs(pts).max())
-        if np.any(gaps <= _DUPLICATE_GAP * np.finfo(float).eps * scale):
-            raise InvalidStencil("stencil points too close together to separate")
+        _check_gaps(pts[None, :])
         i = int(self.eval_index)
         if not 0 <= i < pts.size:
             raise InvalidStencil(
@@ -59,26 +64,6 @@ class Stencil:
     @property
     def size(self) -> int:
         return self.points.size
-
-
-@dataclass(frozen=True, eq=False)
-class FactorVector:
-    """Signed differences x_index - x_k with a placeholder 1 at k = index.
-
-    negative_count is the number of negative entries, so the sign of the
-    node-polynomial derivative a_index is (-1)**negative_count.
-    """
-
-    factors: np.ndarray
-    negative_count: int
-
-
-@dataclass(frozen=True, eq=False)
-class QuotientVector:
-    """Stabilized ratios a_i/a_m for one eval index i; values[i] is 1."""
-
-    values: np.ndarray
-    eval_index: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,20 +81,93 @@ class StencilRows:
         return self.rows[order - 1]
 
 
-def build_factor_vector(stencil: Stencil, index: int) -> FactorVector:
-    """Differences x_index - x_k for one stencil point, 1 at the point itself."""
-    pts = stencil.points
-    k = int(index)
-    if not 0 <= k < pts.size:
-        raise InvalidStencil(f"index {k} out of range for {pts.size} points")
-    f = pts[k] - pts
-    f[k] = 1.0
-    if np.any(f == 0.0):
-        raise InvalidStencil("duplicate stencil points give a zero factor")
-    return FactorVector(f, int(np.count_nonzero(f < 0.0)))
+def _check_gaps(windows: np.ndarray) -> None:
+    """Reject windows (one per row of the array) with effectively equal points."""
+    gaps = np.diff(windows, axis=1)
+    scale = np.abs(windows).max(axis=1, keepdims=True)
+    if np.any(gaps <= _DUPLICATE_GAP * np.finfo(float).eps * scale):
+        raise InvalidStencil("stencil points too close together to separate")
 
 
-def stable_quotients(stencil: Stencil, eval_index: int | None = None) -> QuotientVector:
+def _sorted_factors(windows: np.ndarray):
+    """Per window, |x_j - x_k| sorted over k (1 at k = j), and negative counts.
+
+    The count of negative x_j - x_k, an integer per (window, j), signs a_j.
+    """
+    f = windows[:, :, None] - windows[:, None, :]
+    diag = np.arange(windows.shape[1])
+    f[:, diag, diag] = 1.0
+    negative = np.count_nonzero(f < 0.0, axis=2)
+    np.abs(f, out=f)
+    f.sort(axis=2)
+    return f, negative
+
+
+@np.errstate(all="ignore")
+def _quotients(srt, negative, k, i) -> np.ndarray:
+    """Checked ratios a_i/a_m, shape (rows, M), for rows in window k at index i."""
+    # one window broadcasts over all rows instead of being copied per row
+    den = srt if srt.shape[0] == 1 else srt[k]
+    q = np.prod(srt[k, i][:, None, :] / den, axis=2)
+    q[(negative[k, i][:, None] - negative[k]) % 2 == 1] *= -1.0
+    q[np.arange(q.shape[0]), i] = 1.0
+    if not np.all(np.isfinite(q)) or np.any(q == 0.0):
+        raise InvalidStencil("stencil spacings overflow the quotient evaluation")
+    return q
+
+
+@np.errstate(all="ignore")
+def _weights(x, start, at, m: int, max_order: int) -> np.ndarray:
+    """Weight rows of orders 1..max_order for many windows, shape (S, rows, M).
+
+    Row r uses the M points x[start[r]:start[r] + M] and is evaluated at
+    window index at[r]; start must be non-decreasing.  Each distinct
+    window is sorted once, and temporaries stay within _CHUNK elements, or
+    one row's M x M, by taking windows, then each window's rows, a chunk at
+    a time.
+    """
+    s_max = int(max_order)
+    if s_max < 1:
+        raise ValueError(f"max_order must be at least 1, got {s_max}")
+    if s_max > m - 1:
+        raise OrderTooHigh(
+            f"order {s_max} needs at least {s_max + 1} points, stencil width is {m}"
+        )
+    out = np.empty((s_max, start.size, m))
+    offsets = np.arange(m)
+    windows = np.unique(start)
+    step = max(1, _CHUNK // (m * m))
+    for w0 in range(0, windows.size, step):
+        w = windows[w0:w0 + step]
+        pts = x[w[:, None] + offsets]
+        _check_gaps(pts)
+        srt, negative = _sorted_factors(pts)
+        first = np.searchsorted(start, w[0])
+        stop = np.searchsorted(start, w[-1], side="right")
+        for r0 in range(first, stop, step):
+            r = slice(r0, min(r0 + step, stop))
+            k = np.searchsorted(w, start[r])
+            i = at[r]
+            quot = _quotients(srt, negative, k, i)
+            rows = np.arange(quot.shape[0])
+            dx = pts[k, i][:, None] - pts[k]
+            prev = np.zeros_like(quot)
+            prev[rows, i] = 1.0
+            for s in range(1, s_max + 1):
+                cur = s * (quot * prev[rows, i][:, None] - prev) / dx
+                cur[rows, i] = 0.0
+                cur[rows, i] = -cur.sum(axis=1)
+                out[s - 1, r] = prev = cur
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        raise InvalidStencil(
+            f"order-{int(np.argmin(finite)) + 1} weights overflow: "
+            "stencil spacings are too small or too uneven"
+        )
+    return out
+
+
+def stable_quotients(stencil: Stencil, eval_index: int | None = None) -> np.ndarray:
     """Ratios a_i/a_m of node-polynomial derivatives, round-off stabilized.
 
     For each m the entry is the product of |F_i| and |F_m| factor pairs
@@ -117,26 +175,11 @@ def stable_quotients(stencil: Stencil, eval_index: int | None = None) -> Quotien
     factor counts.  The parity is taken on integers, never through a
     floating-point power.  Entry i itself is set to exactly 1.
     """
-    i = stencil.eval_index if eval_index is None else int(eval_index)
-    pts = stencil.points
-    m_total = pts.size
-    if not 0 <= i < m_total:
-        raise InvalidStencil(f"eval_index {i} out of range for {m_total} points")
-    fi = build_factor_vector(stencil, i)
-    sorted_i = np.sort(np.abs(fi.factors))
-    values = np.ones(m_total)
-    for m in range(m_total):
-        if m == i:
-            continue
-        fm = build_factor_vector(stencil, m)
-        sorted_m = np.sort(np.abs(fm.factors))
-        q = float(np.prod(sorted_i / sorted_m))
-        if (fi.negative_count - fm.negative_count) % 2:
-            q = -q
-        values[m] = q
-    if not np.all(np.isfinite(values)) or np.any(values == 0.0):
-        raise InvalidStencil("stencil spacings overflow the quotient evaluation")
-    return QuotientVector(values, i)
+    if eval_index is not None:
+        stencil = Stencil(stencil.points, eval_index)
+    srt, negative = _sorted_factors(stencil.points[None, :])
+    i = np.array([stencil.eval_index])
+    return _quotients(srt, negative, np.zeros(1, dtype=int), i)[0]
 
 
 def stencil_rows(stencil: Stencil, max_order: int) -> StencilRows:
@@ -155,25 +198,8 @@ def stencil_rows(stencil: Stencil, max_order: int) -> StencilRows:
         rows[s-1] holds the order-s weights.  Each diagonal entry is the
         negated sum of the rest of its row, so row sums vanish exactly.
     """
-    m_total = stencil.size
     i = stencil.eval_index
-    s_max = int(max_order)
-    if s_max < 1:
-        raise ValueError(f"max_order must be at least 1, got {s_max}")
-    if s_max > m_total - 1:
-        raise OrderTooHigh(
-            f"order {s_max} needs at least {s_max + 1} points, stencil has {m_total}"
-        )
-    quot = stable_quotients(stencil).values
-    dx = stencil.points[i] - stencil.points
-    off = np.arange(m_total) != i
-    rows = np.empty((s_max, m_total))
-    prev = np.zeros(m_total)
-    prev[i] = 1.0
-    for s in range(1, s_max + 1):
-        cur = np.zeros(m_total)
-        cur[off] = s * (quot[off] * prev[i] - prev[off]) / dx[off]
-        cur[i] = -cur.sum()
-        rows[s - 1] = cur
-        prev = cur
-    return StencilRows(rows=rows, eval_index=i, max_order=s_max)
+    rows = _weights(
+        stencil.points, np.zeros(1, dtype=int), np.array([i]), stencil.size, max_order
+    )
+    return StencilRows(rows=rows[:, 0], eval_index=i, max_order=rows.shape[0])

@@ -122,7 +122,7 @@ def quotient_comparison(stencil: Stencil, eval_index: int | None = None) -> Quot
         raise InvalidStencil(f"eval_index {i} out of range for {m_total} points")
     exact_a = _node_derivatives(_exact_points(pts))
 
-    sorted_vals = stable_quotients(stencil, i).values
+    sorted_vals = stable_quotients(stencil, i)
     # naive scheme: both full products in natural order, then one division
     prods = np.empty(m_total)
     for j in range(m_total):

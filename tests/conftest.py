@@ -1,9 +1,18 @@
 """Shared helpers: seeded stencil generators, ulp measurement, acceptance log."""
 
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+# CLI tests run `python -m meshdiff` in subprocesses: let those import the
+# package from this checkout's src/, as pytest's pythonpath setting does here
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH")))
+)
 
 _ACCEPTANCE_LINES = []
 
@@ -63,3 +72,47 @@ def smooth_stencil(rng: np.random.Generator, m: int, lo: float = 0.2, hi: float 
     gaps = rng.uniform(lo, hi, size=m - 1)
     start = rng.uniform(-1.0, 1.0)
     return np.concatenate(([start], start + np.cumsum(gaps)))
+
+
+def reference_rows(points, eval_index: int, max_order: int) -> np.ndarray:
+    """Weight rows, shape (max_order, M), from the original one-row-at-a-time code.
+
+    The bodies of the per-row build_factor_vector, stable_quotients and
+    stencil_rows that the batched kernel replaced, kept as a reference
+    the kernel must match bitwise.
+    """
+    pts = np.asarray(points, dtype=float)
+    m_total = pts.size
+    i = int(eval_index)
+
+    def factors(k):
+        f = pts[k] - pts
+        f[k] = 1.0
+        return f, int(np.count_nonzero(f < 0.0))
+
+    fi, neg_i = factors(i)
+    sorted_i = np.sort(np.abs(fi))
+    quot = np.ones(m_total)
+    for m in range(m_total):
+        if m == i:
+            continue
+        fm, neg_m = factors(m)
+        sorted_m = np.sort(np.abs(fm))
+        q = float(np.prod(sorted_i / sorted_m))
+        if (neg_i - neg_m) % 2:
+            q = -q
+        quot[m] = q
+
+    s_max = int(max_order)
+    dx = pts[i] - pts
+    off = np.arange(m_total) != i
+    rows = np.empty((s_max, m_total))
+    prev = np.zeros(m_total)
+    prev[i] = 1.0
+    for s in range(1, s_max + 1):
+        cur = np.zeros(m_total)
+        cur[off] = s * (quot[off] * prev[i] - prev[off]) / dx[off]
+        cur[i] = -cur.sum()
+        rows[s - 1] = cur
+        prev = cur
+    return rows

@@ -1,6 +1,7 @@
 """Tests for matrix assembly, banded storage, apply, and the Kronecker lift."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from meshdiff import (
     assemble,
     chebyshev_gauss_lobatto,
     kron_lift,
+    legendre_gauss_lobatto,
     oracle_rows,
     stencil_rows,
     uniform,
     validate,
 )
 from meshdiff.stencil import Stencil
+from conftest import reference_rows
 
 EPS = np.finfo(float).eps
 
@@ -279,6 +282,79 @@ def test_kron_lift_rejects_non_square():
     rect = SparseBandMatrix(2, 3, np.array([0, 0]), np.zeros((2, 2)))
     with pytest.raises(NonSquare):
         kron_lift(rect, 2)
+
+
+# --- batched kernel against the per-row reference ---------------------------------
+
+
+def assert_matches_reference(points, m, s_max):
+    dset = assemble(points, m, s_max)
+    x = dset.mesh.points
+    starts = dset.matrix(1).col_start
+    for i, start in enumerate(starts):
+        ref = reference_rows(x[start : start + m], i - start, s_max)
+        for s in range(1, s_max + 1):
+            assert np.array_equal(dset.matrix(s).data[i], ref[s - 1]), (i, s)
+
+
+@pytest.mark.parametrize("family", ["jittered", "tanh", "rough"])
+def test_sliding_rows_match_reference_bitwise(family):
+    rng = np.random.default_rng(["jittered", "tanh", "rough"].index(family) + 40)
+    for m, s_max in ((3, 2), (5, 3), (9, 3), (11, 4)):
+        n = int(rng.integers(200, 301))
+        if family == "jittered":
+            x = np.linspace(0.0, 1.0, n)
+            x[1:-1] += (rng.random(n - 2) - 0.5) * 0.6 / (n - 1)
+        elif family == "tanh":
+            beta = rng.uniform(2.4, 2.6)
+            x = np.tanh(beta * np.linspace(-1.0, 1.0, n)) / np.tanh(beta)
+        else:
+            # neighbouring spacings log-uniform over 1e-3 .. 1
+            x = np.concatenate(([0.0], np.cumsum(10.0 ** (-3.0 * rng.random(n - 1)))))
+        assert_matches_reference(x, m, s_max)
+
+
+@pytest.mark.parametrize("family", [chebyshev_gauss_lobatto, legendre_gauss_lobatto])
+def test_whole_mesh_rows_match_reference_bitwise(family):
+    for n in (16, 17, 64, 65):
+        assert_matches_reference(family(n, -1.0, 1.0), n, 3)
+
+
+def test_geometric_stencil_rows_match_reference_bitwise():
+    """The criterion-7 nodes 0, 1, 3, ..., 255, every order."""
+    assert_matches_reference(np.array([2.0**k - 1.0 for k in range(9)]), 9, 8)
+
+
+def test_assemble_rejects_near_duplicate_points():
+    x = np.array([0.0, 1.0, 1.0 + math.ulp(1.0), 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(InvalidStencil, match="too close"):
+        assemble(x, 3, 1)
+
+
+def test_assemble_rejects_quotient_overflow():
+    x = np.concatenate((np.arange(30) * 1e-14, [1.0]))
+    with pytest.raises(InvalidStencil, match="overflow"):
+        assemble(x, x.size, 1)
+
+
+def test_assemble_rejects_non_finite_weights():
+    x = np.array([0.0, 1e-200, 2e-200])
+    with pytest.raises(InvalidStencil, match="order-2"):
+        assemble(x, 3, 2)
+    # the first-order weights, about 1e200, are still representable
+    assert np.all(np.isfinite(assemble(x, 3, 1).matrix(1).data))
+
+
+def test_whole_mesh_assembly_memory_stays_bounded():
+    """Temporaries are chunked: far below the 216 MB of an N^3 tensor at N = 300."""
+    msh = chebyshev_gauss_lobatto(300, -1.0, 1.0)
+    tracemalloc.start()
+    try:
+        assemble(msh, 300, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # --- storage validation ----------------------------------------------------------

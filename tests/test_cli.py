@@ -183,3 +183,32 @@ def test_order_too_high_exits_3(tmp_path):
                   "--out-prefix", tmp_path / "op")
     assert res.returncode == 3
     assert "OrderTooHigh" in res.stderr and one_line(res.stderr)
+
+def test_non_finite_weights_exit_3_without_output(tmp_path):
+    mesh_file = tmp_path / "mesh.txt"
+    # D2 entries near 1/h**2 = 6.4e321 overflow to inf
+    write_mesh(mesh_file, uniform(9, 0.0, 1e-160))
+    res = run_cli("assemble", "--mesh", mesh_file, "--stencil", 3, "--orders", 2,
+                  "--out-prefix", tmp_path / "op")
+    assert res.returncode == 3
+    assert "InvalidStencil" in res.stderr and one_line(res.stderr)
+    assert not list(tmp_path.glob("*.mtx"))
+
+
+def test_zero_orders_exits_2(tmp_path):
+    mesh_file = tmp_path / "mesh.txt"
+    write_mesh(mesh_file, uniform(10, 0.0, 1.0))
+    res = run_cli("assemble", "--mesh", mesh_file, "--stencil", 3, "--orders", 0,
+                  "--out-prefix", tmp_path / "op")
+    assert res.returncode == 2
+    assert "--orders" in res.stderr and one_line(res.stderr)
+    assert not list(tmp_path.glob("*.mtx"))
+
+
+def test_decreasing_resolutions_exit_2(tmp_path):
+    out = tmp_path / "report.txt"
+    res = run_cli("converge", "--function", "sin", "--kind", "uniform",
+                  "--stencil", 3, "--resolutions", "33,17", "--out", out)
+    assert res.returncode == 2
+    assert "--resolutions" in res.stderr and one_line(res.stderr)
+    assert not out.exists()

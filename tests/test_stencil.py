@@ -10,11 +10,11 @@ from meshdiff import (
     InvalidStencil,
     OrderTooHigh,
     Stencil,
-    build_factor_vector,
     oracle_rows,
     stable_quotients,
     stencil_rows,
 )
+from meshdiff.stencil import _sorted_factors
 from conftest import rational_stencil, smooth_stencil, ulp_distance
 
 
@@ -59,28 +59,14 @@ def test_stencil_rejects_eval_index_out_of_range():
         Stencil(pts, 3)
 
 
-# --- factor vectors -----------------------------------------------------------
+# --- sorted factor rows -------------------------------------------------------
 
 
-def test_factor_vector_values_and_negative_count():
-    st = Stencil(np.array([0.0, 1.0, 3.0]), 0)
-    fv = build_factor_vector(st, 0)
-    assert fv.factors.tolist() == [1.0, -1.0, -3.0]
-    assert fv.negative_count == 2
-
-    fv = build_factor_vector(st, 1)
-    assert fv.factors.tolist() == [1.0, 1.0, -2.0]
-    assert fv.negative_count == 1
-
-    fv = build_factor_vector(st, 2)
-    assert fv.factors.tolist() == [3.0, 2.0, 1.0]
-    assert fv.negative_count == 0
-
-
-def test_factor_vector_rejects_bad_index():
-    st = Stencil(np.array([0.0, 1.0]), 0)
-    with pytest.raises(InvalidStencil):
-        build_factor_vector(st, 2)
+def test_sorted_factors_values_and_negative_count():
+    srt, negative = _sorted_factors(np.array([[0.0, 1.0, 3.0]]))
+    # signed factor rows are [1, -1, -3], [1, 1, -2] and [3, 2, 1]
+    assert srt[0].tolist() == [[1.0, 1.0, 3.0], [1.0, 1.0, 2.0], [1.0, 2.0, 3.0]]
+    assert negative[0].tolist() == [2, 1, 0]
 
 
 # --- stabilized quotients -----------------------------------------------------
@@ -88,14 +74,18 @@ def test_factor_vector_rejects_bad_index():
 
 def test_quotients_three_point_uniform():
     st = Stencil(np.array([0.0, 1.0, 2.0]), 0)
-    qv = stable_quotients(st)
-    assert qv.values.tolist() == [1.0, -2.0, 1.0]
-    assert qv.eval_index == 0
+    assert stable_quotients(st).tolist() == [1.0, -2.0, 1.0]
+
+
+def test_quotients_reject_bad_index():
+    st = Stencil(np.array([0.0, 1.0]), 0)
+    with pytest.raises(InvalidStencil):
+        stable_quotients(st, 2)
 
 
 def test_quotients_centered():
     st = Stencil(np.array([-1.0, 0.0, 1.0]), 1)
-    assert stable_quotients(st).values.tolist() == [-0.5, 1.0, -0.5]
+    assert stable_quotients(st).tolist() == [-0.5, 1.0, -0.5]
 
 
 def test_quotients_eval_entry_is_one():
@@ -103,8 +93,7 @@ def test_quotients_eval_entry_is_one():
     for m in (3, 4, 7, 10):
         pts = smooth_stencil(rng, m)
         i = int(rng.integers(0, m))
-        qv = stable_quotients(Stencil(pts, i))
-        assert qv.values[i] == 1.0
+        assert stable_quotients(Stencil(pts, i))[i] == 1.0
 
 
 def test_quotients_sign_matches_parity():
@@ -113,13 +102,12 @@ def test_quotients_sign_matches_parity():
     for m in (3, 5, 8):
         pts = smooth_stencil(rng, m)
         i = int(rng.integers(0, m))
-        st = Stencil(pts, i)
-        qv = stable_quotients(st)
-        n_i = build_factor_vector(st, i).negative_count
+        qv = stable_quotients(Stencil(pts, i))
+        n_i = np.count_nonzero(pts[i] - pts < 0)
         for k in range(m):
-            n_k = build_factor_vector(st, k).negative_count
+            n_k = np.count_nonzero(pts[k] - pts < 0)
             expected_sign = -1.0 if (n_i - n_k) % 2 else 1.0
-            assert math.copysign(1.0, qv.values[k]) == expected_sign
+            assert math.copysign(1.0, qv[k]) == expected_sign
 
 
 def test_quotients_near_exact_on_rational_stencils():
@@ -141,7 +129,7 @@ def test_quotients_near_exact_on_rational_stencils():
             for k in range(m)
         ]
         for k in range(m):
-            worst = max(worst, ulp_distance(qv.values[k], a[i] / a[k]))
+            worst = max(worst, ulp_distance(qv[k], a[i] / a[k]))
     assert worst <= 6.0, f"quotient error {worst} ulp"
 
 
