@@ -70,14 +70,6 @@ class SparseBandMatrix:
     def nnz(self) -> int:
         return self.n_rows * self.width
 
-    def row_entries(self, i: int):
-        """(column indices, values) of row i, columns ascending."""
-        start = int(self.col_start[i])
-        return np.arange(start, start + self.width), self.data[i]
-
-    def apply(self, samples) -> np.ndarray:
-        return apply(self, samples)
-
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
         rows = np.arange(self.n_rows)[:, None]

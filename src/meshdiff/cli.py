@@ -82,6 +82,11 @@ def _stencil_width(text: str):
         ) from None
 
 
+_STENCIL = dict(
+    type=_stencil_width, required=True, help="stencil width M, or 'N' for the whole mesh"
+)
+
+
 def _cmd_mesh(args) -> int:
     msh = _GENERATORS[args.kind](args.n, args.a, args.b)
     fileio.write_mesh(args.out, msh)
@@ -95,7 +100,7 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_assemble(args) -> int:
     msh = fileio.read_mesh(args.mesh)
-    dset = assemble(msh, args.stencil, args.orders)
+    dset = assemble(msh, msh.n if args.stencil is None else args.stencil, args.orders)
     for s in range(1, dset.max_order + 1):
         mat = dset.matrix(s)
         path = f"{args.out_prefix}_D{s}.mtx"
@@ -155,7 +160,7 @@ def _build_parser() -> _Parser:
 
     p_asm = sub.add_parser("assemble", help="build differentiation matrices")
     p_asm.add_argument("--mesh", required=True, help="mesh file to read")
-    p_asm.add_argument("--stencil", type=int, required=True, help="stencil width M")
+    p_asm.add_argument("--stencil", **_STENCIL)
     p_asm.add_argument(
         "--orders", type=_positive_int, required=True, help="highest order S"
     )
@@ -173,12 +178,7 @@ def _build_parser() -> _Parser:
     p_conv = sub.add_parser("converge", help="run a convergence study")
     p_conv.add_argument("--function", choices=sorted(_FUNCTIONS), required=True)
     p_conv.add_argument("--kind", choices=sorted(_GENERATORS), required=True)
-    p_conv.add_argument(
-        "--stencil",
-        type=_stencil_width,
-        required=True,
-        help="stencil width M, or 'N' for whole-mesh stencils",
-    )
+    p_conv.add_argument("--stencil", **_STENCIL)
     p_conv.add_argument(
         "--order", type=int, choices=(1, 2, 3), default=1, help="derivative order"
     )

@@ -7,6 +7,7 @@ double bit-exactly on read-back.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -14,20 +15,25 @@ from .assembly import SparseBandMatrix
 from .errors import FileFormatError
 from .mesh import Mesh, validate
 
-_MM_BANNER = "%%MatrixMarket"
-_MM_KIND = ("matrix", "coordinate", "real", "general")
+_MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 _META_RE = re.compile(r"^%\s*order=(\d+)\s+stencil_width=(\d+)\s*$")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+@contextmanager
+def _numbered_lines(path):
+    """(line number, line) pairs; a file that is not UTF-8 is a FileFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield enumerate(fh, 1)
+    except UnicodeDecodeError:
+        raise FileFormatError(f"{path}: not a UTF-8 text file") from None
 
 
 def read_values(path) -> np.ndarray:
     """Floats from a one-value-per-line file; '#' starts a comment."""
     vals = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
+    with _numbered_lines(path) as lines:
+        for lineno, raw in lines:
             text = raw.split("#", 1)[0].strip()
             if not text:
                 continue
@@ -42,8 +48,7 @@ def read_values(path) -> np.ndarray:
 
 def write_values(path, values) -> None:
     with open(path, "w") as fh:
-        for v in np.asarray(values, dtype=float):
-            fh.write(_fmt(v) + "\n")
+        fh.writelines(map("{:.17g}\n".format, np.asarray(values, dtype=float).tolist()))
 
 
 def read_mesh(path) -> Mesh:
@@ -61,85 +66,84 @@ def write_matrix(path, matrix: SparseBandMatrix) -> None:
     read-back reproduces the matrix bit-exactly.  Order and stencil width
     ride along in a comment line.
     """
+    rows = np.repeat(np.arange(1, matrix.n_rows + 1), matrix.width).tolist()
+    cols = (matrix.col_start[:, None] + np.arange(1, matrix.width + 1)).ravel().tolist()
+    vals = matrix.data.ravel().tolist()
     with open(path, "w") as fh:
-        fh.write(f"{_MM_BANNER} {' '.join(_MM_KIND)}\n")
+        fh.write(_MM_HEADER + "\n")
         if matrix.order is not None and matrix.stencil_width is not None:
             fh.write(f"% order={matrix.order} stencil_width={matrix.stencil_width}\n")
         fh.write(f"{matrix.n_rows} {matrix.n_cols} {matrix.nnz}\n")
-        for i in range(matrix.n_rows):
-            start = int(matrix.col_start[i])
-            for k in range(matrix.width):
-                fh.write(f"{i + 1} {start + k + 1} {_fmt(matrix.data[i, k])}\n")
+        fh.writelines(map("{} {} {:.17g}\n".format, rows, cols, vals))
 
 
 def read_matrix(path) -> SparseBandMatrix:
-    """Read a Matrix Market file whose rows form contiguous uniform windows."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    pos = 0
-    if pos >= len(lines):
-        raise FileFormatError(f"{path}: empty file")
-    header = lines[pos].split()
-    pos += 1
-    if (
-        len(header) != 5
-        or header[0] != _MM_BANNER
-        or tuple(t.lower() for t in header[1:]) != _MM_KIND
-    ):
-        raise FileFormatError(
-            f"{path}: expected header '{_MM_BANNER} {' '.join(_MM_KIND)}'"
-        )
-    order = width_meta = None
-    while pos < len(lines) and lines[pos].lstrip().startswith("%"):
-        meta = _META_RE.match(lines[pos].strip())
-        if meta:
-            order, width_meta = int(meta.group(1)), int(meta.group(2))
-        pos += 1
-    while pos < len(lines) and not lines[pos].strip():
-        pos += 1
-    if pos >= len(lines):
-        raise FileFormatError(f"{path}: missing size line")
-    try:
-        n_rows, n_cols, nnz = (int(t) for t in lines[pos].split())
-    except ValueError:
-        raise FileFormatError(f"{path}: bad size line {lines[pos]!r}") from None
-    pos += 1
-    entries = {}
-    seen = 0
-    for lineno in range(pos, len(lines)):
-        text = lines[lineno].strip()
-        if not text:
-            continue
-        parts = text.split()
+    """Read a Matrix Market file whose rows form contiguous uniform windows.
+
+    Entry lines are parsed into flat arrays, which are checked whole.
+    """
+    with _numbered_lines(path) as lines:
+        end = (0, "")
+        lineno, line = next(lines, end)
+        if not lineno:
+            raise FileFormatError(f"{path}: empty file")
+        header = line.split()
+        # the banner is case-sensitive, the four type words are not
+        if header[:1] + [t.lower() for t in header[1:]] != _MM_HEADER.split():
+            raise FileFormatError(f"{path}: expected header '{_MM_HEADER}'")
+        order = width_meta = None
+        lineno, line = next(lines, end)
+        while line.lstrip().startswith("%"):
+            meta = _META_RE.match(line.strip())
+            if meta:
+                order, width_meta = int(meta.group(1)), int(meta.group(2))
+            lineno, line = next(lines, end)
+        while lineno and not line.strip():
+            lineno, line = next(lines, end)
+        if not lineno:
+            raise FileFormatError(f"{path}: missing size line")
         try:
-            if len(parts) != 3:
-                raise ValueError
-            r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
+            n_rows, n_cols, nnz = (int(t) for t in line.split())
         except ValueError:
-            raise FileFormatError(
-                f"{path}:{lineno + 1}: expected 'row col value', got {text!r}"
-            ) from None
-        if not (1 <= r <= n_rows and 1 <= c <= n_cols):
-            raise FileFormatError(f"{path}:{lineno + 1}: index out of range")
-        row = entries.setdefault(r - 1, {})
-        if c - 1 in row:
-            raise FileFormatError(f"{path}:{lineno + 1}: duplicate entry")
-        row[c - 1] = v
-        seen += 1
-    if seen != nnz:
-        raise FileFormatError(f"{path}: size line promises {nnz} entries, found {seen}")
-    widths = {len(row) for row in entries.values()}
-    if len(entries) != n_rows or len(widths) != 1:
+            raise FileFormatError(f"{path}: bad size line {line!r}") from None
+        rows, cols, vals, where = [], [], [], []
+        for lineno, line in lines:
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                r, c, v = parts
+                rows.append(int(r))
+                cols.append(int(c))
+                vals.append(float(v))
+            except ValueError:
+                raise FileFormatError(
+                    f"{path}:{lineno}: expected 'row col value', got {line.strip()!r}"
+                ) from None
+            where.append(lineno)
+    try:
+        r, c = np.array([rows, cols], dtype=np.int64)
+    except OverflowError:  # an index past int64 becomes 0, which is out of range
+        r, c = np.array([[v if abs(v) < 2**63 else 0 for v in vs] for vs in (rows, cols)])
+    bad = (r < 1) | (r > n_rows) | (c < 1) | (c > n_cols)
+    if bad.any():
+        raise FileFormatError(f"{path}:{where[bad.argmax()]}: index out of range")
+    # row-major order; a stable sort leaves each repeat after its first
+    perm = np.lexsort((c, r))
+    r, c = r[perm] - 1, c[perm] - 1
+    repeat = (r[1:] == r[:-1]) & (c[1:] == c[:-1])
+    if repeat.any():
+        raise FileFormatError(f"{path}:{where[perm[1:][repeat].min()]}: duplicate entry")
+    if len(vals) != nnz:
+        raise FileFormatError(f"{path}: size line promises {nnz} entries, found {len(vals)}")
+    # n_rows <= nnz bounds the bincount before it is allocated
+    if not 0 < n_rows <= nnz or np.ptp(np.bincount(r, minlength=n_rows)):
         raise FileFormatError(f"{path}: rows do not share one window width")
-    width = widths.pop()
-    col_start = np.empty(n_rows, dtype=int)
-    data = np.empty((n_rows, width))
-    for i in range(n_rows):
-        cols = sorted(entries[i])
-        if cols != list(range(cols[0], cols[0] + width)):
-            raise FileFormatError(f"{path}: row {i + 1} window is not contiguous")
-        col_start[i] = cols[0]
-        data[i] = [entries[i][c] for c in cols]
+    c = c.reshape(n_rows, -1)
+    gappy = (np.diff(c, axis=1) != 1).any(axis=1)
+    if gappy.any():
+        raise FileFormatError(f"{path}: row {gappy.argmax() + 1} window is not contiguous")
+    data = np.array(vals)[perm].reshape(c.shape)
     return SparseBandMatrix(
-        n_rows, n_cols, col_start, data, order=order, stencil_width=width_meta
+        n_rows, n_cols, c[:, 0], data, order=order, stencil_width=width_meta
     )

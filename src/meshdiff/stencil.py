@@ -167,7 +167,7 @@ def _weights(x, start, at, m: int, max_order: int) -> np.ndarray:
     return out
 
 
-def stable_quotients(stencil: Stencil, eval_index: int | None = None) -> np.ndarray:
+def stable_quotients(stencil: Stencil) -> np.ndarray:
     """Ratios a_i/a_m of node-polynomial derivatives, round-off stabilized.
 
     For each m the entry is the product of |F_i| and |F_m| factor pairs
@@ -175,8 +175,6 @@ def stable_quotients(stencil: Stencil, eval_index: int | None = None) -> np.ndar
     factor counts.  The parity is taken on integers, never through a
     floating-point power.  Entry i itself is set to exactly 1.
     """
-    if eval_index is not None:
-        stencil = Stencil(stencil.points, eval_index)
     srt, negative = _sorted_factors(stencil.points[None, :])
     i = np.array([stencil.eval_index])
     return _quotients(srt, negative, np.zeros(1, dtype=int), i)[0]

@@ -66,7 +66,6 @@ def test_apply_differentiates_quadratic_exactly():
     d1 = assemble(uniform(3, 0.0, 2.0), 3, 1).matrix(1)
     out = apply(d1, [0.0, 1.0, 4.0])
     assert out.tolist() == [0.0, 2.0, 4.0]
-    assert d1.apply([0.0, 1.0, 4.0]).tolist() == [0.0, 2.0, 4.0]
 
 
 # --- window bookkeeping ---------------------------------------------------------
@@ -76,12 +75,11 @@ def test_window_map_three_cases():
     n, m = 10, 5
     d1 = assemble(uniform(n, 0.0, 1.0), m, 1).matrix(1)
     assert d1.col_start.tolist() == [0, 0, 0, 1, 2, 3, 4, 5, 5, 5]
-    for i in range(n):
-        cols, vals = d1.row_entries(i)
-        assert len(cols) == m
-        assert cols[0] == d1.col_start[i]
-        assert 0 <= cols[0] and cols[-1] < n
-        assert cols[0] <= i <= cols[-1]
+    first = d1.col_start
+    last = first + d1.width - 1
+    assert d1.width == m
+    assert np.all((0 <= first) & (last < n))
+    assert np.all((first <= np.arange(n)) & (np.arange(n) <= last))
 
 
 def test_window_rows_match_direct_stencil_calls():

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from meshdiff import assemble, uniform
+from meshdiff import assemble, chebyshev_gauss_lobatto, uniform
+from meshdiff.cli import main
 from meshdiff.fileio import read_matrix, read_mesh, read_values, write_mesh, write_values
 
 
@@ -16,6 +17,15 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def run_main(capsys, *args):
+    """(exit code, stderr) of cli.main run in this process; cheaper than run_cli."""
+    try:
+        code = main([str(a) for a in args])
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
 
 
 def test_mesh_writes_readable_file(tmp_path):
@@ -82,12 +92,39 @@ def test_converge_reports_second_order(tmp_path):
     assert len(csv) == 5
 
 
+def test_assemble_whole_mesh_stencil(tmp_path):
+    msh = chebyshev_gauss_lobatto(9, -1.0, 1.0)
+    mesh_file = tmp_path / "mesh.txt"
+    write_mesh(mesh_file, msh)
+    res = run_cli("assemble", "--mesh", mesh_file, "--stencil", "N", "--orders", 1,
+                  "--out-prefix", tmp_path / "op")
+    assert res.returncode == 0, res.stderr
+    back = read_matrix(tmp_path / "op_D1.mtx")
+    ref = assemble(msh, 9, 1).matrix(1)
+    assert np.array_equal(back.data, ref.data)
+    assert np.array_equal(back.col_start, ref.col_start)
+    assert back.stencil_width == 9
+
+
 def test_converge_whole_mesh_stencil(tmp_path):
     out = tmp_path / "report.txt"
     res = run_cli("converge", "--function", "exp", "--kind", "chebyshev",
                   "--stencil", "N", "--order", 1, "--resolutions", "6,10,14",
                   "--out", out)
     assert res.returncode == 0, res.stderr
+
+
+def test_converge_fits_only_above_rounding_floor(tmp_path, capsys):
+    # errors from N = 17 on are rounding noise; a fit through them read 9.297
+    out = tmp_path / "report.txt"
+    code, err = run_main(capsys, "converge", "--function", "exp", "--kind", "chebyshev",
+                         "--stencil", "N", "--resolutions", "5,9,17,33,65", "--out", out)
+    assert code == 0, err
+    text = out.read_text()
+    assert "9.297" not in text
+    lines = text.splitlines()
+    assert lines[-2] == "fit over N = 5..9"
+    assert lines[-1].startswith("fitted order: ")
 
 
 def test_converge_flags_saturation(tmp_path):
@@ -212,3 +249,30 @@ def test_decreasing_resolutions_exit_2(tmp_path):
     assert res.returncode == 2
     assert "--resolutions" in res.stderr and one_line(res.stderr)
     assert not out.exists()
+
+
+def test_assemble_rejects_bad_stencil_token(tmp_path, capsys):
+    mesh_file = tmp_path / "mesh.txt"
+    write_mesh(mesh_file, uniform(10, 0.0, 1.0))
+    code, err = run_main(capsys, "assemble", "--mesh", mesh_file, "--stencil", "x",
+                         "--orders", 1, "--out-prefix", tmp_path / "op")
+    assert code == 2
+    assert "--stencil" in err and one_line(err)
+
+
+@pytest.mark.parametrize("flag", ["--mesh", "--matrix"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, flag):
+    bad = tmp_path / "bin.txt"
+    bad.write_bytes(b"\xff\xfe1\x000\x00\n")
+    mesh_file = tmp_path / "mesh.txt"
+    write_mesh(mesh_file, uniform(3, 0.0, 1.0))
+    samples = tmp_path / "f.txt"
+    write_values(samples, [0.0, 1.0, 2.0])
+    if flag == "--mesh":
+        args = ["assemble", "--mesh", bad, "--stencil", 3, "--orders", 1,
+                "--out-prefix", tmp_path / "op"]
+    else:
+        args = ["apply", "--matrix", bad, "--samples", samples, "--out", tmp_path / "g.txt"]
+    code, err = run_main(capsys, *args)
+    assert code == 2
+    assert "FileFormatError" in err and "bin.txt" in err and one_line(err)

@@ -78,9 +78,8 @@ def test_quotients_three_point_uniform():
 
 
 def test_quotients_reject_bad_index():
-    st = Stencil(np.array([0.0, 1.0]), 0)
     with pytest.raises(InvalidStencil):
-        stable_quotients(st, 2)
+        stable_quotients(Stencil(np.array([0.0, 1.0]), 2))
 
 
 def test_quotients_centered():

@@ -13,6 +13,7 @@ from meshdiff import (
     OrderTooHigh,
     Stencil,
     TooLarge,
+    chebyshev_gauss_lobatto,
     convergence_order,
     oracle_rows,
     quotient_comparison,
@@ -140,9 +141,8 @@ def test_quotient_comparison_is_finite_and_tiny_on_geometric_points():
 
 
 def test_quotient_comparison_rejects_bad_index():
-    st = Stencil(np.array([0.0, 1.0, 2.0]), 0)
     with pytest.raises(InvalidStencil):
-        quotient_comparison(st, 5)
+        quotient_comparison(Stencil(np.array([0.0, 1.0, 2.0]), 5))
 
 
 # --- convergence reports -----------------------------------------------------------
@@ -194,6 +194,39 @@ def test_convergence_requires_two_resolutions():
         convergence_order(
             np.sin, np.cos, lambda n: uniform(n, 0.0, 1.0), 3, 1, (17,)
         )
+
+
+def test_convergence_checks_resolutions_before_building_meshes():
+    def family(n):
+        raise AssertionError(f"mesh_family({n}) called")
+
+    with pytest.raises(ValueError):
+        convergence_order(np.sin, np.cos, family, 3, 1, (33, 17))
+
+
+def test_convergence_fits_only_the_leading_run_above_the_floor():
+    """exp on whole Chebyshev meshes hits rounding noise from N = 17 on."""
+    report = convergence_order(
+        np.exp,
+        np.exp,
+        lambda n: chebyshev_gauss_lobatto(n, -1.0, 1.0),
+        None,
+        1,
+        (5, 9, 17, 33, 65),
+    )
+    assert report.fitted_points == 2
+    slope = np.polyfit(np.log(report.spacings[:2]), np.log(report.errors[:2]), 1)[0]
+    assert report.fitted_order == slope
+    assert report.table().splitlines()[-2] == "fit over N = 5..9"
+
+
+def test_convergence_keeps_every_resolution_still_converging():
+    """The smallest error here is 4.9e3 u ||D||_inf max|f|, far above the floor."""
+    report = convergence_order(
+        np.exp, np.exp, lambda n: uniform(n, 0.0, 1.0), 5, 1, (17, 33, 65, 129)
+    )
+    assert report.fitted_points == 4
+    assert report.table().splitlines()[-2] == "fit over N = 17..129"
 
 
 def test_report_validates_alignment():
