@@ -11,9 +11,10 @@ kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import (
     DimensionMismatch,
@@ -24,6 +25,9 @@ from .errors import (
 )
 from .mesh import Mesh, validate
 from .stencil import _weights
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,18 +74,25 @@ class SparseBandMatrix:
     def nnz(self) -> int:
         return self.n_rows * self.width
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Read-only (n_rows, width) column index of every stored entry."""
+        cols = self.col_start[:, None] + np.arange(self.width)
+        cols.setflags(write=False)
+        return cols
+
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
-        rows = np.arange(self.n_rows)[:, None]
-        out[rows, self.col_start[:, None] + np.arange(self.width)] = self.data
+        out[np.arange(self.n_rows)[:, None], self.columns] = self.data
         return out
 
     def to_csr(self) -> sparse.csr_matrix:
         """CSR copy keeping explicitly stored zeros."""
+        import scipy.sparse as sparse
+
         indptr = np.arange(0, self.nnz + 1, self.width)
-        indices = (self.col_start[:, None] + np.arange(self.width)[None, :]).ravel()
         return sparse.csr_matrix(
-            (self.data.ravel().copy(), indices, indptr),
+            (self.data.ravel().copy(), self.columns.ravel().copy(), indptr),
             shape=(self.n_rows, self.n_cols),
         )
 
@@ -147,11 +158,12 @@ def apply(matrix: SparseBandMatrix, samples) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix has {matrix.n_cols} columns, samples have shape {f.shape}"
         )
-    idx = matrix.col_start[:, None] + np.arange(matrix.width)[None, :]
-    return (matrix.data * f[idx]).sum(axis=1)
+    return (matrix.data * f[matrix.columns]).sum(axis=1)
 
 
 def _as_square_csr(op, side: str) -> sparse.csr_matrix:
+    import scipy.sparse as sparse
+
     if isinstance(op, (int, np.integer)):
         if op < 1:
             raise ValueError(f"identity size must be positive, got {op}")
@@ -180,6 +192,8 @@ def kron_lift(left, right) -> sparse.csr_matrix:
     x-lift stays block banded, but the y-lift has strided rows that a
     contiguous-window format cannot hold.
     """
+    import scipy.sparse as sparse
+
     return sparse.kron(
         _as_square_csr(left, "left"), _as_square_csr(right, "right"), format="csr"
     )

@@ -67,7 +67,7 @@ def write_matrix(path, matrix: SparseBandMatrix) -> None:
     ride along in a comment line.
     """
     rows = np.repeat(np.arange(1, matrix.n_rows + 1), matrix.width).tolist()
-    cols = (matrix.col_start[:, None] + np.arange(1, matrix.width + 1)).ravel().tolist()
+    cols = (matrix.columns + 1).ravel().tolist()
     vals = matrix.data.ravel().tolist()
     with open(path, "w") as fh:
         fh.write(_MM_HEADER + "\n")

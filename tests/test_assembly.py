@@ -1,12 +1,17 @@
 """Tests for matrix assembly, banded storage, apply, and the Kronecker lift."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+import meshdiff
 from meshdiff import (
     DimensionMismatch,
     EvenStencil,
@@ -271,6 +276,20 @@ def test_kron_lift_accepts_sparse_and_dense_squares():
     assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
+def test_commands_import_no_scipy_until_kron_lift():
+    """One fresh process: the package and CLI load without scipy.sparse."""
+    code = (
+        "import sys, meshdiff, meshdiff.cli\n"
+        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse loaded at import'\n"
+        "lifted = meshdiff.kron_lift(2, meshdiff.assemble(meshdiff.uniform(3, 0, 1), 3, 1).matrix(1))\n"
+        "assert lifted.format == 'csr' and lifted.shape == (6, 6)\n"
+    )
+    src = str(Path(meshdiff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+
+
 def test_kron_lift_rejects_non_square():
     d1 = assemble(uniform(3, 0.0, 2.0), 3, 1).matrix(1)
     with pytest.raises(NonSquare):
@@ -356,6 +375,43 @@ def test_whole_mesh_assembly_memory_stays_bounded():
 
 
 # --- storage validation ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [5, 40])
+def test_apply_matches_window_gather_bitwise(m):
+    """apply is the plain gather-multiply-sum, sliding (M < N) or whole mesh."""
+    msh = chebyshev_gauss_lobatto(40, -1.0, 1.0)
+    f = np.exp(msh.points) * np.sin(3.0 * msh.points)
+    for mat in assemble(msh, m, 2).matrices:
+        idx = mat.col_start[:, None] + np.arange(mat.width)
+        ref = (mat.data * f[idx]).sum(1)
+        assert apply(mat, f).tobytes() == ref.tobytes()
+
+
+def test_window_columns_are_cached_and_read_only():
+    mat = assemble(uniform(9, 0.0, 1.0), 3, 1).matrix(1)
+    cols = mat.columns
+    assert cols is mat.columns
+    assert np.array_equal(cols, mat.col_start[:, None] + np.arange(3))
+    assert not cols.flags.writeable
+    with pytest.raises(ValueError):
+        cols[0, 0] = 5
+
+
+def test_shifted_windows_each_use_their_own_columns():
+    """Same data, col_start shifted left in one row: toarray, apply and CSR follow."""
+    base = assemble(uniform(9, 0.0, 1.0), 3, 1).matrix(1)
+    base.columns  # cache the unshifted index before building the copy
+    starts = base.col_start.copy()
+    starts[4] -= 1
+    shifted = SparseBandMatrix(9, 9, starts, base.data, base.order, base.stencil_width)
+    assert np.array_equal(shifted.columns[4], [2, 3, 4])
+    assert np.array_equal(base.columns[4], [3, 4, 5])
+    f = np.arange(9.0) ** 2
+    assert apply(shifted, f)[4] != apply(base, f)[4]
+    dense = shifted.toarray()
+    assert np.array_equal(dense[4, 2:5], base.data[4]) and dense[4, 5] == 0.0
+    assert np.array_equal(shifted.to_csr().toarray(), dense)
 
 
 def test_band_matrix_rejects_out_of_range_windows():

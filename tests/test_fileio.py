@@ -1,5 +1,6 @@
 """Round-trip and format-error tests for the text file formats."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -102,6 +103,19 @@ def test_matrix_file_matches_per_entry_reference(tmp_path):
             for k in range(mat.width):
                 ref.append(f"{i + 1} {mat.col_start[i] + k + 1} {mat.data[i, k]:.17g}\n")
         assert path.read_text() == "".join(ref)
+
+
+def test_matrix_file_bytes_are_pinned(tmp_path):
+    """sha256 of the D1 and D2 files of a 2000-point CGL mesh, M = 9."""
+    pinned = {
+        1: "3946d4de7d6dfecbdb0d2c09effa90abc9c4826efa34ba5e8d6d056b860898cb",
+        2: "7bf49684c8fc65d33e090b81cdedb74da60ffdee757ea456851369e024809193",
+    }
+    dset = assemble(chebyshev_gauss_lobatto(2000, -1.0, 1.0), 9, 2)
+    path = tmp_path / "d.mtx"
+    for s, digest in pinned.items():
+        write_matrix(path, dset.matrix(s))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, f"D{s}"
 
 
 def test_matrix_keeps_stored_zeros(tmp_path):
