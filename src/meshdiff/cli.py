@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: mesh, assemble, apply, converge.  Exit codes: 0 on success,
-2 for input or parse errors, 3 for numerical or domain errors; every
-failure prints exactly one diagnostic line to stderr.
+2 for input or parse errors, 3 for numerical or domain errors and for
+running out of memory; every failure prints exactly one diagnostic line
+to stderr.
 """
 
 from __future__ import annotations
@@ -205,6 +206,11 @@ def main(argv=None) -> int:
         return 2
     except MeshdiffError as exc:
         print(f"{_PROG}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy raises a subclass; name the builtin, keep the one-line contract
+        detail = " ".join(str(exc).split()) or "out of memory"
+        print(f"{_PROG}: MemoryError: {detail}", file=sys.stderr)
         return 3
 
 

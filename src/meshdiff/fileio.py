@@ -17,6 +17,7 @@ from .mesh import Mesh, validate
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 _META_RE = re.compile(r"^%\s*order=(\d+)\s+stencil_width=(\d+)\s*$")
+_WRITE_ROWS = 1024
 
 
 @contextmanager
@@ -64,17 +65,24 @@ def write_matrix(path, matrix: SparseBandMatrix) -> None:
 
     Stored zeros are written out, so nnz is rows times window width and a
     read-back reproduces the matrix bit-exactly.  Order and stencil width
-    ride along in a comment line.
+    ride along in a comment line.  Entries are formatted _WRITE_ROWS rows
+    at a time, so memory stays flat in the matrix size.
     """
-    rows = np.repeat(np.arange(1, matrix.n_rows + 1), matrix.width).tolist()
-    cols = (matrix.columns + 1).ravel().tolist()
-    vals = matrix.data.ravel().tolist()
+    width = matrix.width
+    offsets = np.arange(1, width + 1)
     with open(path, "w") as fh:
         fh.write(_MM_HEADER + "\n")
         if matrix.order is not None and matrix.stencil_width is not None:
             fh.write(f"% order={matrix.order} stencil_width={matrix.stencil_width}\n")
         fh.write(f"{matrix.n_rows} {matrix.n_cols} {matrix.nnz}\n")
-        fh.writelines(map("{} {} {:.17g}\n".format, rows, cols, vals))
+        for r0 in range(0, matrix.n_rows, _WRITE_ROWS):
+            r1 = min(r0 + _WRITE_ROWS, matrix.n_rows)
+            # one "row col value" triple per entry, interleaved for one % pass
+            fields = [None] * (3 * (r1 - r0) * width)
+            fields[0::3] = np.repeat(np.arange(r0 + 1, r1 + 1), width).tolist()
+            fields[1::3] = (matrix.col_start[r0:r1, None] + offsets).ravel().tolist()
+            fields[2::3] = matrix.data[r0:r1].ravel().tolist()
+            fh.write("%d %d %.17g\n" * ((r1 - r0) * width) % tuple(fields))
 
 
 def read_matrix(path) -> SparseBandMatrix:

@@ -135,7 +135,10 @@ def _weights(x, start, at, m: int, max_order: int) -> np.ndarray:
         )
     out = np.empty((s_max, start.size, m))
     offsets = np.arange(m)
-    windows = np.unique(start)
+    # start is non-decreasing, so each distinct window begins a run
+    first_of_run = np.ones(start.size, dtype=bool)
+    np.not_equal(start[1:], start[:-1], out=first_of_run[1:])
+    windows = start[first_of_run]
     step = max(1, _CHUNK // (m * m))
     for w0 in range(0, windows.size, step):
         w = windows[w0:w0 + step]

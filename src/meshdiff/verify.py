@@ -9,13 +9,18 @@ schemes, and empirical convergence-order fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .assembly import apply, assemble
 from .errors import InvalidStencil, OrderTooHigh, TooLarge
 from .stencil import Stencil, stable_quotients
+
+if TYPE_CHECKING:
+    # the functions that use Fraction import it themselves, so a command
+    # process that never measures exactly loads neither fractions nor decimal
+    from fractions import Fraction
 
 # cost guard for the Fraction recursion; callers with patience may raise it
 ORACLE_MAX_POINTS = 12
@@ -26,12 +31,16 @@ _NOISE_FLOOR = 16 * 2.0**-53
 
 
 def _exact_points(points) -> list[Fraction]:
+    from fractions import Fraction
+
     # Fraction(float) is exact, so double coordinates carry over losslessly
     return [Fraction(p) for p in points]
 
 
 def _node_derivatives(pts: list[Fraction]) -> list[Fraction]:
     """a_j = product of (x_j - x_k) over k != j, exactly."""
+    from fractions import Fraction
+
     out = []
     for j, xj in enumerate(pts):
         acc = Fraction(1)
@@ -85,6 +94,8 @@ def oracle_rows(points, eval_index, max_order, max_points=ORACLE_MAX_POINTS):
         raise OrderTooHigh(
             f"order {s_max} needs at least {s_max + 1} points, stencil has {m_total}"
         )
+    from fractions import Fraction
+
     a = _node_derivatives(pts)
     ratios = [a[i] / am for am in a]
     prev = [Fraction(1) if k == i else Fraction(0) for k in range(m_total)]
@@ -116,6 +127,8 @@ def quotient_comparison(stencil: Stencil) -> QuotientComparison:
     arithmetic before the final float conversion, so the measurement adds
     no noise of its own.
     """
+    from fractions import Fraction
+
     i = stencil.eval_index
     pts = stencil.points
     m_total = pts.size

@@ -277,10 +277,19 @@ def test_kron_lift_accepts_sparse_and_dense_squares():
 
 
 def test_commands_import_no_scipy_until_kron_lift():
-    """One fresh process: the package and CLI load without scipy.sparse."""
+    """One fresh process: the package and CLI load without scipy.sparse.
+
+    Assembly and a convergence study, the work of the commands, load
+    neither numpy.ma (np.unique does) nor fractions.
+    """
     code = (
-        "import sys, meshdiff, meshdiff.cli\n"
+        "import sys, numpy, meshdiff, meshdiff.cli\n"
         "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse loaded at import'\n"
+        "meshdiff.assemble(meshdiff.uniform(40, 0, 1), 5, 2)\n"
+        "meshdiff.convergence_order(numpy.exp, numpy.exp, lambda n: meshdiff.uniform(n, 0, 1),"
+        " 5, 1, [17, 33])\n"
+        "loaded = {'numpy.ma', 'fractions'} & set(sys.modules)\n"
+        "assert not loaded, f'{loaded} loaded by the command path'\n"
         "lifted = meshdiff.kron_lift(2, meshdiff.assemble(meshdiff.uniform(3, 0, 1), 3, 1).matrix(1))\n"
         "assert lifted.format == 'csr' and lifted.shape == (6, 6)\n"
     )

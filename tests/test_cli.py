@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from meshdiff import assemble, chebyshev_gauss_lobatto, uniform
+from meshdiff import assemble, chebyshev_gauss_lobatto, cli, uniform
 from meshdiff.cli import main
 from meshdiff.fileio import read_matrix, read_mesh, read_values, write_mesh, write_values
 
@@ -276,3 +276,30 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, flag):
     code, err = run_main(capsys, *args)
     assert code == 2
     assert "FileFormatError" in err and "bin.txt" in err and one_line(err)
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's MemoryError subclass, whose name is private."""
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        _ArrayMemoryError(
+            "Unable to allocate 22.4 GiB for an array with shape (3000000000,) "
+            "and data type float64"
+        ),
+        MemoryError(),
+    ],
+)
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, exc):
+    def exhausted(n, a, b):
+        raise exc
+
+    monkeypatch.setitem(cli._GENERATORS, "uniform", exhausted)
+    out = tmp_path / "mesh.txt"
+    code, err = run_main(capsys, "mesh", "--kind", "uniform", "--n", 3_000_000_000,
+                         "--a", 0, "--b", 1, "--out", out)
+    assert code == 3
+    assert err.startswith("meshdiff: MemoryError: ") and one_line(err)
+    assert "Traceback" not in err and not out.exists()

@@ -2,13 +2,22 @@
 
 import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from meshdiff import FileFormatError, assemble, chebyshev_gauss_lobatto, uniform, validate
+from meshdiff import (
+    FileFormatError,
+    SparseBandMatrix,
+    assemble,
+    chebyshev_gauss_lobatto,
+    uniform,
+    validate,
+)
 from meshdiff.fileio import (
     read_matrix,
     read_mesh,
@@ -116,6 +125,25 @@ def test_matrix_file_bytes_are_pinned(tmp_path):
     for s, digest in pinned.items():
         write_matrix(path, dset.matrix(s))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, f"D{s}"
+
+
+def test_matrix_writer_memory_stays_flat():
+    """Row blocks bound the writer: below 4 MiB traced for N = 8192 rows, M = 9.
+
+    A writer that holds every entry as Python objects peaks near 8 MiB
+    here.  Past one block of rows the peak no longer grows with N, and
+    tracing costs about 8 us per entry, so a larger N only slows the test.
+    """
+    n, m = 8192, 9
+    data = np.random.default_rng(3).standard_normal((n, m))
+    mat = SparseBandMatrix(n, n, np.clip(np.arange(n) - m // 2, 0, n - m), data)
+    tracemalloc.start()
+    try:
+        write_matrix(os.devnull, mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_matrix_keeps_stored_zeros(tmp_path):

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import meshdiff.mesh
 from meshdiff import (
     EmptyInterval,
     Mesh,
@@ -80,7 +82,7 @@ def test_generators_pin_endpoints_bitwise(gen, n):
 
 
 @pytest.mark.parametrize("gen", [chebyshev_gauss_lobatto, legendre_gauss_lobatto])
-@pytest.mark.parametrize("n", [4, 5, 16, 33])
+@pytest.mark.parametrize("n", [4, 5, 16, 33, 2000, 2001])
 def test_gauss_lobatto_families_symmetric_bitwise(gen, n):
     pts = gen(n, -1.0, 1.0).points
     assert np.array_equal(pts, -pts[::-1])
@@ -172,6 +174,72 @@ def test_legendre_residuals_small_relative_to_derivative_scale():
         scale = n * (n - 1) / 2.0
         worst = max(worst, np.abs(dp(pts[1:-1])).max() / scale)
     assert worst <= 1e-12, f"scaled residual {worst}"
+
+
+def _lgl_roots_40_digits(k, starts):
+    """Roots of P'_k near float starts, by Newton iteration in 40-digit mpmath."""
+    roots = []
+    with mpmath.workdps(40):
+        # P_j = c_j x P_{j-1} - d_j P_{j-2}, with c_j = (2j-1)/j and d_j = (j-1)/j
+        coeffs = [(mpmath.mpf(2 * j - 1) / j, mpmath.mpf(j - 1) / j) for j in range(2, k + 1)]
+        for start in starts:
+            x = mpmath.mpf(start)
+            for _ in range(10):
+                p_prev, p = mpmath.mpf(1), x
+                for c, d in coeffs:
+                    p_prev, p = p, c * x * p - d * p_prev
+                w = 1 - x * x
+                dp = k * (p_prev - x * p) / w
+                ddp = (2 * x * dp - k * (k + 1) * p) / w
+                step = dp / ddp
+                x -= step
+                # quadratic convergence: the error left is far below 40 digits
+                if abs(step) < mpmath.mpf(10) ** -30:
+                    break
+            else:
+                raise AssertionError(f"reference iteration stalled (k={k}, start={start!r})")
+            roots.append(x)
+    return roots
+
+
+def test_legendre_nodes_within_two_ulp_of_40_digit_roots():
+    """Every interior node for n = 3..65, and 16 at n = 2000, within 2u of the root.
+
+    u = 2**-53.  The nodes are mirror images bitwise (tested above) and so
+    are the true roots, so one reference root checks both members of a pair;
+    at n = 2000 the pairs cover both ends and the middle.
+    """
+    u = 2.0**-53
+    cases = [(n, range(1, (n + 1) // 2)) for n in range(3, 66)]
+    cases.append((2000, [1, 2, 3, 4, 996, 997, 998, 999]))
+    worst = 0.0
+    for n, indices in cases:
+        pts = legendre_gauss_lobatto(n, -1.0, 1.0).points
+        roots = _lgl_roots_40_digits(n - 1, pts[list(indices)])
+        for i, root in zip(indices, roots):
+            for node, exact in ((pts[i], root), (pts[n - 1 - i], -root)):
+                worst = max(worst, float(abs(mpmath.mpf(node) - exact)) / u)
+    assert worst <= 2.0, f"worst node error {worst:.3g} u"
+
+
+def test_legendre_takes_at_most_three_recurrence_passes(monkeypatch):
+    """Asymptotic starts and Halley steps: one recurrence per sweep, at most 3 sweeps."""
+    recurrence = meshdiff.mesh._legendre_pair
+    passes = 0
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return recurrence(*args)
+
+    monkeypatch.setattr(meshdiff.mesh, "_legendre_pair", counted)
+    over = {}
+    for n in [*range(3, 301), 2000]:
+        passes = 0
+        legendre_gauss_lobatto(n, -1.0, 1.0)
+        if passes > 3:
+            over[n] = passes
+    assert not over, f"recurrence passes above 3: {over}"
 
 
 def test_legendre_affine_interval():
