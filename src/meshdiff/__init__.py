@@ -42,10 +42,8 @@ from .stencil import (
 )
 from .verify import (
     ConvergenceReport,
-    QuotientComparison,
     convergence_order,
     oracle_rows,
-    quotient_comparison,
 )
 
 __version__ = "0.1.0"
@@ -66,9 +64,7 @@ __all__ = [
     "apply",
     "kron_lift",
     "ConvergenceReport",
-    "QuotientComparison",
     "oracle_rows",
-    "quotient_comparison",
     "convergence_order",
     "MeshdiffError",
     "InputError",

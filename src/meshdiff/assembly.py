@@ -59,6 +59,10 @@ class SparseBandMatrix:
             self.n_rows and starts.max() + width > self.n_cols
         ):
             raise ValueError("column windows fall outside the matrix")
+        if self.stencil_width not in (None, width):
+            raise ValueError(
+                f"stencil_width {self.stencil_width} contradicts window width {width}"
+            )
         starts = starts.copy()
         vals = vals.copy()
         starts.setflags(write=False)
@@ -103,8 +107,14 @@ class DiffMatrixSet:
 
     matrices: tuple
     mesh: Mesh
-    stencil_width: int
-    max_order: int
+
+    @property
+    def stencil_width(self) -> int:
+        return self.matrices[0].width
+
+    @property
+    def max_order(self) -> int:
+        return len(self.matrices)
 
     def matrix(self, order: int) -> SparseBandMatrix:
         """The operator for one derivative order (1-based order)."""
@@ -148,7 +158,7 @@ def assemble(mesh, stencil_width: int, max_order: int) -> DiffMatrixSet:
         SparseBandMatrix(n, n, start, rows, order=s + 1, stencil_width=m)
         for s, rows in enumerate(data)
     )
-    return DiffMatrixSet(matrices, msh, m, len(data))
+    return DiffMatrixSet(matrices, msh)
 
 
 def apply(matrix: SparseBandMatrix, samples) -> np.ndarray:

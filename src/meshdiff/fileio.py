@@ -151,6 +151,10 @@ def read_matrix(path) -> SparseBandMatrix:
     gappy = (np.diff(c, axis=1) != 1).any(axis=1)
     if gappy.any():
         raise FileFormatError(f"{path}: row {gappy.argmax() + 1} window is not contiguous")
+    if width_meta not in (None, c.shape[1]):
+        raise FileFormatError(
+            f"{path}: metadata stencil_width={width_meta} but rows hold {c.shape[1]} entries"
+        )
     data = np.array(vals)[perm].reshape(c.shape)
     return SparseBandMatrix(
         n_rows, n_cols, c[:, 0], data, order=order, stencil_width=width_meta

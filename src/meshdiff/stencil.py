@@ -72,7 +72,10 @@ class StencilRows:
 
     rows: np.ndarray
     eval_index: int
-    max_order: int
+
+    @property
+    def max_order(self) -> int:
+        return self.rows.shape[0]
 
     def row(self, order: int) -> np.ndarray:
         """Weights of the given derivative order (1-based order)."""
@@ -203,4 +206,4 @@ def stencil_rows(stencil: Stencil, max_order: int) -> StencilRows:
     rows = _weights(
         stencil.points, np.zeros(1, dtype=int), np.array([i]), stencil.size, max_order
     )
-    return StencilRows(rows=rows[:, 0], eval_index=i, max_order=rows.shape[0])
+    return StencilRows(rows=rows[:, 0], eval_index=i)

@@ -2,56 +2,28 @@
 
 Everything here exists to check the floating-point pipeline from the
 outside: weight rows recomputed in Fraction arithmetic with no rounding
-anywhere, side-by-side error measurement of the two quotient evaluation
-schemes, and empirical convergence-order fits.
+anywhere, and empirical convergence-order fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from math import prod
 
 import numpy as np
 
 from .assembly import apply, assemble
 from .errors import InvalidStencil, OrderTooHigh, TooLarge
-from .stencil import Stencil, stable_quotients
 
-if TYPE_CHECKING:
-    # the functions that use Fraction import it themselves, so a command
-    # process that never measures exactly loads neither fractions nor decimal
-    from fractions import Fraction
-
-# cost guard for the Fraction recursion; callers with patience may raise it
-ORACLE_MAX_POINTS = 12
+# cost guard for the Fraction recursion; max_points=None lifts it
+_ORACLE_MAX_POINTS = 12
 
 # errors up to 16 u ||D||_inf max|f| (u = 2**-53) count as rounding noise: in
 # units of u ||D||_inf max|f|, saturated studies measured 0.1-1.5, converging >= 5e3
 _NOISE_FLOOR = 16 * 2.0**-53
 
 
-def _exact_points(points) -> list[Fraction]:
-    from fractions import Fraction
-
-    # Fraction(float) is exact, so double coordinates carry over losslessly
-    return [Fraction(p) for p in points]
-
-
-def _node_derivatives(pts: list[Fraction]) -> list[Fraction]:
-    """a_j = product of (x_j - x_k) over k != j, exactly."""
-    from fractions import Fraction
-
-    out = []
-    for j, xj in enumerate(pts):
-        acc = Fraction(1)
-        for k, xk in enumerate(pts):
-            if k != j:
-                acc *= xj - xk
-        out.append(acc)
-    return out
-
-
-def oracle_rows(points, eval_index, max_order, max_points=ORACLE_MAX_POINTS):
+def oracle_rows(points, eval_index, max_order, max_points=_ORACLE_MAX_POINTS):
     """Derivative weight rows in exact rational arithmetic.
 
     Runs the same order-by-order recursion as stencil_rows but over
@@ -74,7 +46,10 @@ def oracle_rows(points, eval_index, max_order, max_points=ORACLE_MAX_POINTS):
     -------
     list of rows, one per order 1..max_order, each a list of Fractions.
     """
-    pts = _exact_points(points)
+    from fractions import Fraction  # local: command processes never load it
+
+    # Fraction(float) is exact, so double coordinates carry over losslessly
+    pts = [Fraction(p) for p in points]
     m_total = len(pts)
     if max_points is not None and m_total > int(max_points):
         raise TooLarge(
@@ -94,9 +69,8 @@ def oracle_rows(points, eval_index, max_order, max_points=ORACLE_MAX_POINTS):
         raise OrderTooHigh(
             f"order {s_max} needs at least {s_max + 1} points, stencil has {m_total}"
         )
-    from fractions import Fraction
-
-    a = _node_derivatives(pts)
+    # a_j = product of (x_j - x_k) over k != j, exactly
+    a = [prod(xj - xk for xk in pts[:j] + pts[j + 1:]) for j, xj in enumerate(pts)]
     ratios = [a[i] / am for am in a]
     prev = [Fraction(1) if k == i else Fraction(0) for k in range(m_total)]
     rows = []
@@ -109,47 +83,6 @@ def oracle_rows(points, eval_index, max_order, max_points=ORACLE_MAX_POINTS):
         rows.append(cur)
         prev = cur
     return rows
-
-
-@dataclass(frozen=True)
-class QuotientComparison:
-    """Per-entry relative errors of the two a_i/a_m evaluation schemes."""
-
-    sorted_error: np.ndarray
-    naive_error: np.ndarray
-
-
-def quotient_comparison(stencil: Stencil) -> QuotientComparison:
-    """Measure sorted-product quotients against naive separate products.
-
-    Both schemes are evaluated in double precision and compared entry by
-    entry with the exact rational ratio; errors are computed in rational
-    arithmetic before the final float conversion, so the measurement adds
-    no noise of its own.
-    """
-    from fractions import Fraction
-
-    i = stencil.eval_index
-    pts = stencil.points
-    m_total = pts.size
-    exact_a = _node_derivatives(_exact_points(pts))
-
-    sorted_vals = stable_quotients(stencil)
-    # naive scheme: both full products in natural order, then one division
-    prods = np.empty(m_total)
-    for j in range(m_total):
-        f = pts[j] - pts
-        f[j] = 1.0
-        prods[j] = np.prod(f)
-    naive_vals = prods[i] / prods
-
-    sorted_err = np.empty(m_total)
-    naive_err = np.empty(m_total)
-    for m in range(m_total):
-        exact = Fraction(1) if m == i else exact_a[i] / exact_a[m]
-        sorted_err[m] = float(abs(Fraction(float(sorted_vals[m])) - exact) / abs(exact))
-        naive_err[m] = float(abs(Fraction(float(naive_vals[m])) - exact) / abs(exact))
-    return QuotientComparison(sorted_err, naive_err)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared helpers: seeded stencil generators, ulp measurement, acceptance log."""
+"""Shared helpers: seeded stencil generators, ulp and quotient errors, acceptance log."""
 
 import math
 import os
@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+
+from meshdiff import Stencil, stable_quotients
 
 # CLI tests run `python -m meshdiff` in subprocesses: let those import the
 # package from this checkout's src/, as pytest's pythonpath setting does here
@@ -116,3 +118,29 @@ def reference_rows(points, eval_index: int, max_order: int) -> np.ndarray:
         rows[s - 1] = cur
         prev = cur
     return rows
+
+
+def quotient_errors(points, eval_index: int) -> np.ndarray:
+    """Relative errors of the ratios a_i/a_m, shape (2, M): sorted, then naive products.
+
+    Row 0 measures stable_quotients, row 1 the naive scheme (both full
+    products in natural order, then one division), each entry against the
+    exact ratio in Fraction arithmetic.  Errors are formed exactly before
+    the final float conversion, so the measurement adds no noise of its own.
+    """
+    pts = np.asarray(points, dtype=float)
+    i = int(eval_index)
+    exact = [Fraction(p) for p in pts]
+    a = [math.prod(xj - xk for xk in exact[:j] + exact[j + 1:]) for j, xj in enumerate(exact)]
+    prods = np.empty(pts.size)
+    for j in range(pts.size):
+        f = pts[j] - pts
+        f[j] = 1.0
+        prods[j] = np.prod(f)
+    schemes = (stable_quotients(Stencil(pts, i)), prods[i] / prods)
+    errors = np.empty((2, pts.size))
+    for m in range(pts.size):
+        ratio = a[i] / a[m]
+        for row, vals in enumerate(schemes):
+            errors[row, m] = float(abs(Fraction(float(vals[m])) - ratio) / abs(ratio))
+    return errors

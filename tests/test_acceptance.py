@@ -20,12 +20,17 @@ from meshdiff import (
     convergence_order,
     legendre_gauss_lobatto,
     oracle_rows,
-    quotient_comparison,
     stencil_rows,
     uniform,
 )
 from meshdiff.fileio import read_matrix, read_mesh, write_mesh
-from conftest import gamma, rational_stencil, record_criterion, ulp_distance
+from conftest import (
+    gamma,
+    quotient_errors,
+    rational_stencil,
+    record_criterion,
+    ulp_distance,
+)
 
 EPS = np.finfo(float).eps
 
@@ -247,21 +252,32 @@ def test_criterion_6_convergence_orders_on_uniform_meshes():
 
 
 def test_criterion_7_sorted_products_not_inferior_on_geometric_stencil():
-    """Geometric nodes 0, 1, 3, 7, ..., 255: sorted-product quotients are at
-    least as accurate as naive products, entry by entry, for every
-    evaluation index."""
+    """Geometric nodes 0, 1, 3, 7, ..., 255, every evaluation index:
+    sorted-product quotients are at least as accurate as naive products,
+    entry by entry, finite and within 1e-15 of the exact ratios, and both
+    schemes give the eval entry with no error at all."""
     pts = np.array([2.0**k - 1.0 for k in range(9)])
     worst_margin = -np.inf
+    worst_sorted = 0.0
     ok = True
     for i in range(9):
-        cmp = quotient_comparison(Stencil(pts, i))
-        margin = (cmp.sorted_error - cmp.naive_error - 4.0 * EPS).max()
+        sorted_err, naive_err = quotient_errors(pts, i)
+        margin = (sorted_err - naive_err - 4.0 * EPS).max()
         worst_margin = max(worst_margin, margin)
-        ok = ok and np.all(cmp.sorted_error <= cmp.naive_error + 4.0 * EPS)
+        worst_sorted = max(worst_sorted, sorted_err.max())
+        ok = (
+            ok
+            and np.all(sorted_err <= naive_err + 4.0 * EPS)
+            and np.all(np.isfinite(sorted_err))
+            and sorted_err.max() <= 1e-15
+            and sorted_err[i] == 0.0
+            and naive_err[i] == 0.0
+        )
     record_criterion(
         7,
         ok,
-        f"worst (sorted - naive - 4 eps) margin {worst_margin:.2e}, <= 0 required",
+        f"worst (sorted - naive - 4 eps) margin {worst_margin:.2e}, <= 0 required; "
+        f"worst sorted error {worst_sorted:.2e}, <= 1e-15 required",
     )
     assert ok
 

@@ -14,6 +14,25 @@ import meshdiff.fileio
 from meshdiff import DiffMatrixSet, SparseBandMatrix, Stencil, stencil_rows
 
 
+_PUBLIC_NAMES = [
+    "ConvergenceReport", "DiffMatrixSet", "DimensionMismatch", "EmptyInterval",
+    "EvenStencil", "FileFormatError", "InputError", "InvalidStencil", "Mesh",
+    "MeshdiffError", "NoConvergence", "NonFinite", "NonSquare", "NotIncreasing",
+    "NumericalError", "OrderTooHigh", "SparseBandMatrix", "Stencil", "StencilRows",
+    "StencilTooWide", "TooFew", "TooLarge", "apply", "assemble",
+    "chebyshev_gauss_lobatto", "convergence_order", "kron_lift",
+    "legendre_gauss_lobatto", "oracle_rows", "stable_quotients", "stencil_rows",
+    "uniform", "validate",
+]
+
+
+def test_public_surface_is_pinned():
+    """Adding or removing a public name means editing this list on purpose."""
+    assert sorted(meshdiff.__all__) == _PUBLIC_NAMES
+    for name in meshdiff.__all__:
+        assert getattr(meshdiff, name) is not None, name
+
+
 def test_package_functions_exist():
     for name in (
         "assemble", "apply", "validate", "kron_lift", "oracle_rows",

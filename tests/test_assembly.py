@@ -1,5 +1,6 @@
 """Tests for matrix assembly, banded storage, apply, and the Kronecker lift."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -155,6 +156,17 @@ def test_assemble_rejects_tiny_stencil():
 def test_assemble_rejects_zero_order():
     with pytest.raises(ValueError):
         assemble(uniform(10, 0.0, 1.0), 3, 0)
+
+
+@pytest.mark.parametrize("n, m, s", [(11, 5, 3), (8, 8, 2)])
+def test_counts_are_read_from_the_matrices(n, m, s):
+    """Sliding and whole-mesh sets: width and order count come from the operators."""
+    dset = assemble(uniform(n, 0.0, 1.0), m, s)
+    assert [f.name for f in dataclasses.fields(dset)] == ["matrices", "mesh"]
+    assert dset.max_order == len(dset.matrices) == s
+    assert dset.stencil_width == m
+    with pytest.raises(ValueError):
+        dset.matrix(s + 1)
 
 
 def test_apply_rejects_wrong_length():
@@ -430,3 +442,11 @@ def test_band_matrix_rejects_out_of_range_windows():
         SparseBandMatrix(2, 3, np.array([-1, 0]), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         SparseBandMatrix(2, 3, np.array([0]), np.zeros((2, 2)))
+
+
+def test_band_matrix_rejects_contradicting_stencil_width():
+    starts, data = np.array([0, 1]), np.ones((2, 2))
+    assert SparseBandMatrix(2, 3, starts, data, 1, None).stencil_width is None
+    assert SparseBandMatrix(2, 3, starts, data, 1, 2).stencil_width == 2
+    with pytest.raises(ValueError, match="stencil_width 3 contradicts window width 2"):
+        SparseBandMatrix(2, 3, starts, data, 1, 3)

@@ -200,6 +200,22 @@ def test_corrupt_mesh_file_exits_2(tmp_path):
     assert "FileFormatError" in res.stderr and one_line(res.stderr)
 
 
+def test_matrix_width_contradicting_metadata_exits_2(tmp_path, capsys):
+    matrix = tmp_path / "d1.mtx"
+    matrix.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "% order=1 stencil_width=5\n"
+        "2 2 4\n1 1 1.0\n1 2 2.0\n2 1 3.0\n2 2 4.0\n"
+    )
+    samples = tmp_path / "f.txt"
+    write_values(samples, [0.0, 1.0])
+    code, err = run_main(capsys, "apply", "--matrix", matrix, "--samples", samples,
+                         "--out", tmp_path / "g.txt")
+    assert code == 2
+    assert "FileFormatError" in err and "d1.mtx" in err and one_line(err)
+    assert not (tmp_path / "g.txt").exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     res = run_cli("assemble", "--mesh", tmp_path / "nope.txt", "--stencil", 3,
                   "--orders", 1, "--out-prefix", tmp_path / "op")

@@ -212,6 +212,17 @@ def test_matrix_without_metadata_comment(tmp_path):
     assert mat.toarray().tolist() == [[1.0, 0.5], [-0.25, -1.0]]
 
 
+def test_matrix_rejects_metadata_width_contradicting_rows(tmp_path):
+    path = tmp_path / "bad.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "% order=7 stencil_width=5\n"
+        "1 3 3\n1 1 1.0\n1 2 2.0\n1 3 3.0\n"
+    )
+    with pytest.raises(FileFormatError, match=r"bad\.mtx: .*stencil_width=5.* 3 entries"):
+        read_matrix(path)
+
+
 def test_matrix_rejects_index_beyond_int64(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text(

@@ -1,5 +1,6 @@
 """Unit and property tests for the stencil weight kernel."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -173,6 +174,14 @@ def test_rows_order_bounds():
         stencil_rows(st, 0)
     with pytest.raises(ValueError):
         stencil_rows(st, 1).row(2)
+
+
+def test_rows_max_order_is_read_from_rows():
+    rows = stencil_rows(Stencil(np.array([0.0, 1.0, 3.0, 4.0]), 2), 2)
+    assert [f.name for f in dataclasses.fields(rows)] == ["rows", "eval_index"]
+    assert rows.max_order == rows.rows.shape[0] == 2
+    with pytest.raises(ValueError):
+        rows.row(3)
 
 
 def test_rows_diagonal_is_bitwise_negated_sum():

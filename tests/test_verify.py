@@ -11,12 +11,10 @@ from meshdiff import (
     ConvergenceReport,
     InvalidStencil,
     OrderTooHigh,
-    Stencil,
     TooLarge,
     chebyshev_gauss_lobatto,
     convergence_order,
     oracle_rows,
-    quotient_comparison,
     uniform,
 )
 from conftest import rational_stencil
@@ -120,29 +118,6 @@ def test_oracle_matches_symbolic_differentiation():
             for s in range(1, m):
                 ref = sympy.diff(basis, x, s).subs(x, nodes[i])
                 assert Fraction(int(ref.p), int(ref.q)) == rows[s - 1][k]
-
-
-# --- quotient comparison ----------------------------------------------------------
-
-
-def test_quotient_comparison_eval_entry_is_error_free():
-    st = Stencil(np.array([0.0, 1.0, 3.0, 7.0]), 2)
-    cmp = quotient_comparison(st)
-    assert cmp.sorted_error[2] == 0.0
-    assert cmp.naive_error[2] == 0.0
-
-
-def test_quotient_comparison_is_finite_and_tiny_on_geometric_points():
-    pts = np.array([2.0**k - 1.0 for k in range(9)])
-    for i in range(9):
-        cmp = quotient_comparison(Stencil(pts, i))
-        assert np.all(np.isfinite(cmp.sorted_error))
-        assert cmp.sorted_error.max() <= 1e-15
-
-
-def test_quotient_comparison_rejects_bad_index():
-    with pytest.raises(InvalidStencil):
-        quotient_comparison(Stencil(np.array([0.0, 1.0, 2.0]), 5))
 
 
 # --- convergence reports -----------------------------------------------------------
